@@ -21,10 +21,25 @@ import (
 // candidates never touch the arenas; they are assembled in reusable
 // scratch buffers and copied in only once accepted.
 
-// arenaBlock is the number of terms (or rows) allocated per backing block;
-// large enough to amortize the block allocations, small enough not to
-// strand memory on tiny lattices.
-const arenaBlock = 1024
+// Block sizes, in terms (or rows). A Space's first block holds
+// arenaMinBlock items, and each next block doubles the last one up to
+// arenaBlock, where block allocations are amortized. The spare capacity a
+// Space strands is thus at most its last block, which on a small lattice
+// is no more than what the lattice uses. The serving tier keeps thousands
+// of lattices of a few dozen nodes live at once; with full-size blocks
+// from the start each of them held a 24 KB header block (1024 rows of
+// 24 B) and a 4 KB term block, almost all of it unused.
+const (
+	arenaMinBlock = 16
+	arenaBlock    = 1024
+)
+
+// nextBlock sizes the block that follows one of capacity prev (0 for the
+// first) when n more items must fit.
+func nextBlock(prev, n int) int {
+	size := min(max(2*prev, arenaMinBlock), arenaBlock)
+	return max(size, n)
+}
 
 // termArena bump-allocates immutable []vocab.Term rows.
 type termArena struct {
@@ -39,11 +54,7 @@ func (a *termArena) clone(vs []vocab.Term) []vocab.Term {
 		return nil
 	}
 	if cap(a.cur)-len(a.cur) < n {
-		size := arenaBlock
-		if n > size {
-			size = n
-		}
-		a.cur = make([]vocab.Term, 0, size)
+		a.cur = make([]vocab.Term, 0, nextBlock(cap(a.cur), n))
 	}
 	start := len(a.cur)
 	a.cur = a.cur[:start+n]
@@ -63,11 +74,7 @@ func (a *hdrArena) alloc(n int) [][]vocab.Term {
 		return nil
 	}
 	if cap(a.cur)-len(a.cur) < n {
-		size := arenaBlock
-		if n > size {
-			size = n
-		}
-		a.cur = make([][]vocab.Term, 0, size)
+		a.cur = make([][]vocab.Term, 0, nextBlock(cap(a.cur), n))
 	}
 	start := len(a.cur)
 	a.cur = a.cur[:start+n]

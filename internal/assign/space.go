@@ -56,6 +56,7 @@ type Space struct {
 
 	tab       *Tables              // frozen lattice tables, shared read-only
 	validKeys map[string]struct{}  // keys of ValidBase rows
+	singles   []Assignment         // ValidBase rows as singletons, built on first use
 	nodes     map[string]*nodeInfo // per-node memo: interned key + 𝒜 membership
 
 	// Per-session scratch and arenas for successor generation (see
@@ -290,6 +291,21 @@ func (sp *Space) IsValidBase(vals []vocab.Term) bool {
 	sp.baseBuf = buf
 	_, ok := sp.validKeys[string(buf)]
 	return ok
+}
+
+// ValidSingletons returns the ValidBase rows as singleton assignments, in
+// row order. They are built on the first call and kept for the Space's
+// lifetime, so callers that compare against every valid row (the engine's
+// timeline, AllSignificant) stop rebuilding them; callers must not modify
+// them. Like the rest of the Space's memo state, single-owner.
+func (sp *Space) ValidSingletons() []Assignment {
+	if sp.singles == nil {
+		sp.singles = make([]Assignment, len(sp.ValidBase))
+		for i, row := range sp.ValidBase {
+			sp.singles[i] = sp.Singleton(row...)
+		}
+	}
+	return sp.singles
 }
 
 // IsValid reports whether a is a valid assignment w.r.t. the query

@@ -2,6 +2,10 @@ package core
 
 import (
 	"testing"
+
+	"oassis/internal/aggregate"
+	"oassis/internal/crowd"
+	"oassis/internal/synth"
 )
 
 // BenchmarkDrainExpansions measures batched DAG expansion over the full
@@ -47,5 +51,56 @@ func BenchmarkEngineRun(b *testing.B) {
 		if len(res.MSPs) == 0 {
 			b.Fatal("run mined no MSPs")
 		}
+	}
+}
+
+// BenchmarkSessionRoundTrip measures the step-driven protocol per answer:
+// one op submits one answer and takes the next list from Next, the way the
+// serving tier refills after every answer. The newest open question is
+// answered first, so most submits are speculative (the engine does not
+// move) and every few ops the blocked question goes in and the engine
+// advances. Sessions of the travel domain run back to back; opening one
+// is not timed.
+func BenchmarkSessionRoundTrip(b *testing.B) {
+	dc := synth.Travel
+	dc.Members, dc.Patterns = 12, 8
+	d, err := synth.GenerateDomain(dc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pl, err := d.Plan(0.2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	members := map[string]crowd.Member{}
+	var ids []string
+	for _, m := range d.NewCrowd() {
+		members[m.ID()] = m
+		ids = append(ids, m.ID())
+	}
+	var s *Session
+	var qs []Question
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if qs == nil {
+			b.StopTimer()
+			if s != nil {
+				s.Close()
+			}
+			s = NewSession(Config{Space: pl.NewSpace(), Theta: pl.Support,
+				Agg: aggregate.NewFixedSample(3)}, ids)
+			qs = s.Next()
+			b.StartTimer()
+		}
+		q := qs[len(qs)-1]
+		if err := s.Submit(q.ID, AnswerSupport(members[q.Member].Concrete(q.Facts))); err != nil {
+			b.Fatal(err)
+		}
+		qs = s.Next()
+	}
+	b.StopTimer()
+	if s != nil {
+		s.Close()
 	}
 }

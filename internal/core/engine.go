@@ -203,8 +203,11 @@ type engine struct {
 	mspLog     map[string]int // chain maxima -> question count at discovery
 	newAnswers int            // answers recorded in the current round
 
-	classifiedRows []bool // per ValidBase row, for the timeline
-	classifiedN    int
+	// Timeline bookkeeping, kept only under Config.TrackTimeline: the
+	// ValidBase rows no classification has settled yet, and how many have
+	// been settled.
+	openRows    []int32
+	classifiedN int
 
 	expanded []bool   // by id: successors were generated
 	toExpand []uint32 // significant nodes awaiting expansion
@@ -314,19 +317,24 @@ func newEngine(cfg Config) *engine {
 	}
 	ns := newNodeStore()
 	e := &engine{
-		cfg:            cfg,
-		sp:             cfg.Space,
-		agg:            agg,
-		ns:             ns,
-		cls:            newClassifierOn(cfg.Space, ns),
-		ordering:       ordering,
-		memberAns:      make(map[string]map[string]float64),
-		pruned:         make(map[string][]vocab.Term),
-		cache:          NewCacheSized(len(cfg.Members)),
-		uniqueQ:        make(map[string]struct{}),
-		mspLog:         make(map[string]int),
-		classifiedRows: make([]bool, len(cfg.Space.ValidBase)),
-		answersBy:      make(map[string]int),
+		cfg:       cfg,
+		sp:        cfg.Space,
+		agg:       agg,
+		ns:        ns,
+		cls:       newClassifierOn(cfg.Space, ns),
+		ordering:  ordering,
+		memberAns: make(map[string]map[string]float64),
+		pruned:    make(map[string][]vocab.Term),
+		cache:     NewCacheSized(len(cfg.Members)),
+		uniqueQ:   make(map[string]struct{}),
+		mspLog:    make(map[string]int),
+		answersBy: make(map[string]int),
+	}
+	if cfg.TrackTimeline {
+		e.openRows = make([]int32, len(cfg.Space.ValidBase))
+		for i := range e.openRows {
+			e.openRows[i] = int32(i)
+		}
 	}
 	// Route the ordering to its tier. The comparator check comes first:
 	// the built-in tier-one policies keep the original selection loop,
@@ -609,18 +617,25 @@ func (e *engine) applyVerdict(node assign.Assignment, qKey string) {
 	}
 }
 
-// onClassified updates the classified-valid-rows counter for the timeline.
+// onClassified updates the classified-valid-rows counter of the timeline,
+// the only reader of it: with TrackTimeline off it does nothing. It walks
+// only the rows still open, against the Space's prebuilt singletons, and
+// drops the rows a classifies.
 func (e *engine) onClassified(a assign.Assignment, significant bool) {
-	for i, row := range e.sp.ValidBase {
-		if e.classifiedRows[i] {
+	if !e.cfg.TrackTimeline {
+		return
+	}
+	rows := e.sp.ValidSingletons()
+	open := e.openRows[:0]
+	for _, i := range e.openRows {
+		r := rows[i]
+		if significant && e.sp.Leq(r, a) || !significant && e.sp.Leq(a, r) {
+			e.classifiedN++
 			continue
 		}
-		r := e.sp.Singleton(row...)
-		if significant && e.sp.Leq(r, a) || !significant && e.sp.Leq(a, r) {
-			e.classifiedRows[i] = true
-			e.classifiedN++
-		}
+		open = append(open, i)
 	}
+	e.openRows = open
 }
 
 // memberSupport obtains the member's answer for node's question, via the
@@ -1012,8 +1027,7 @@ func AllSignificant(sp *assign.Space, msps []assign.Assignment) []assign.Assignm
 		seen[k] = struct{}{}
 		out = append(out, a)
 	}
-	for _, row := range sp.ValidBase {
-		r := sp.Singleton(row...)
+	for _, r := range sp.ValidSingletons() {
 		for _, m := range msps {
 			if sp.Leq(r, m) {
 				add(r)

@@ -155,18 +155,33 @@ func Reduce(v *vocab.Vocabulary, s Set) Set {
 }
 
 // Key returns a compact byte-string key identifying the canonical form of s,
-// suitable for use as a map key.
+// suitable for use as a map key. A set already in canonical form (every
+// lattice question is) is encoded as it is, with one allocation.
 func (s Set) Key() string {
-	c := s.Canon()
-	buf := make([]byte, 0, len(c)*12)
-	var tmp [4]byte
-	for _, f := range c {
-		for _, t := range [3]vocab.Term{f.S, f.R, f.O} {
-			binary.LittleEndian.PutUint32(tmp[:], uint32(t))
-			buf = append(buf, tmp[:]...)
+	if !s.canonical() {
+		s = s.Canon()
+	}
+	var b strings.Builder
+	b.Grow(len(s) * 12)
+	var tmp [12]byte
+	for _, f := range s {
+		binary.LittleEndian.PutUint32(tmp[0:], uint32(f.S))
+		binary.LittleEndian.PutUint32(tmp[4:], uint32(f.R))
+		binary.LittleEndian.PutUint32(tmp[8:], uint32(f.O))
+		b.Write(tmp[:])
+	}
+	return b.String()
+}
+
+// canonical reports whether s is strictly increasing, that is, equal to
+// its Canon.
+func (s Set) canonical() bool {
+	for i := 1; i < len(s); i++ {
+		if !s[i-1].Less(s[i]) {
+			return false
 		}
 	}
-	return string(buf)
+	return true
 }
 
 // Format renders s in the paper's notation, facts joined by ". ".
