@@ -2,7 +2,7 @@
 # vet, build, the public-API drift guard, the full test suite under the
 # race detector (the experiment grids in internal/experiments fan cells
 # across goroutines, so -race exercises the concurrency model for real),
-# and a short fuzz pass over the WAL record decoder.
+# and short fuzz passes over the parsers and decoders (see the fuzz target).
 
 GO ?= go
 FUZZTIME ?= 5s
@@ -56,12 +56,16 @@ race:
 
 # Short fuzz passes over the durable-store record decoder (framing, CRC,
 # canonical re-encode), the Prometheus label escaping (round-trip,
-# scrape-safety) and the stop-policy contract (no panics, latched
-# ShouldStop, estimates in [0, 1]; see the fuzz_test.go in each package).
+# scrape-safety), the stop-policy contract (no panics, latched
+# ShouldStop, estimates in [0, 1]), the OASSIS-QL parser (no panics,
+# printed queries reparse) and the Turtle reader (no panics); see the
+# fuzz_test.go in each package.
 fuzz:
 	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/obs -run '^$$' -fuzz '^FuzzLabelEscaping$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/aggregate -run '^$$' -fuzz '^FuzzStopPolicy$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/oassisql -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/rdfio -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime $(FUZZTIME)
 
 # Combined core+plan+store+aggregate statement coverage, gated at
 # COVER_MIN so engine, planner (ordering policies included), store or
